@@ -11,10 +11,12 @@ Supervision rules (see :mod:`repro.campaign.failures` for the taxonomy):
 
 * runs already in the :class:`~repro.campaign.store.ResultStore` are served
   from disk (``status="cached"``) without touching a worker;
-* the rest fan out over a ``ProcessPoolExecutor``; each worker keeps a
-  process-local Runner per configuration fingerprint and persists its
-  result to the store *before* returning, so a campaign killed mid-flight
-  resumes from everything that finished;
+* the rest fan out over a ``ProcessPoolExecutor``; each attempt builds a
+  fresh Runner, which reuses the worker's process-wide trace and
+  alone-baseline memos (:mod:`repro.sim.runner`), and persists its result
+  to the store *before* returning, so a campaign killed mid-flight resumes
+  from everything that finished; the worker's store accounting is folded
+  into the supervisor's ``store.stats``;
 * a failed attempt is classified: **transient** errors and **timeouts**
   consume one unit of the spec's bounded retry budget and requeue with
   exponential backoff; **deterministic** errors are retried once to
@@ -49,7 +51,7 @@ import traceback as traceback_module
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +66,7 @@ from ..telemetry.spans import (
 )
 from .failures import FailureAttempt, FailureClass, FailureRecord, classify_failure
 from .spec import RunSpec
-from .store import ResultStore
+from .store import ResultStore, StoreStats
 
 #: Called after every settled run: (outcome, done_count, total_count).
 ProgressFn = Callable[["RunOutcome", int, int], None]
@@ -148,7 +150,6 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 # Worker side. Everything here must be importable (top-level) and picklable.
 # ---------------------------------------------------------------------------
-_WORKER_RUNNERS: Dict[object, object] = {}
 _WORKER_STORES: Dict[str, ResultStore] = {}
 
 
@@ -158,28 +159,25 @@ def _runner_for(
     safepoint_dir: Optional[str] = None,
     submission: int = 1,
 ):
-    """A process-local Runner matching the spec's scope (cached)."""
+    """A fresh Runner for one attempt at ``spec``.
+
+    Traces and alone baselines are memoized process-wide by content key,
+    so a new Runner per attempt repeats no work.
+    """
     from ..sim.runner import Runner
     from ..telemetry import TelemetryConfig
 
-    telemetry = getattr(spec, "telemetry", False)
-    key = (spec.runner_key(), telemetry)
-    runner = _WORKER_RUNNERS.get(key)
-    if runner is None:
-        runner = Runner(
-            config=spec.config,
-            horizon=spec.horizon,
-            seed=spec.seed,
-            target_insts=spec.target_insts,
-            validate=spec.validate,
-            ahead_limit=spec.ahead_limit,
-            telemetry=TelemetryConfig() if telemetry else None,
-        )
-        _WORKER_RUNNERS[key] = runner
-    # Safepoint policy is per-campaign, not part of the runner's scope
-    # (it never changes results), so refresh it on every hand-off.
-    runner.safepoint_every = safepoint_every
-    runner.safepoint_dir = safepoint_dir
+    runner = Runner(
+        config=spec.config,
+        horizon=spec.horizon,
+        seed=spec.seed,
+        target_insts=spec.target_insts,
+        validate=spec.validate,
+        ahead_limit=spec.ahead_limit,
+        telemetry=TelemetryConfig() if spec.telemetry else None,
+        safepoint_every=safepoint_every,
+        safepoint_dir=safepoint_dir,
+    )
     runner.fault_attempt = submission
     return runner
 
@@ -349,8 +347,12 @@ def _worker(
     safepoint_every: Optional[int] = None,
     safepoint_dir: Optional[str] = None,
     span_dir: Optional[str] = None,
-) -> Tuple[RunResult, float]:
-    """Pool entry point: run, persist to the store, return the result."""
+) -> Tuple[RunResult, float, Optional[StoreStats]]:
+    """Pool entry point: run, persist to the store, return the result.
+
+    Also returns what the attempt added to this process's store handle's
+    stats (None without a store), for the supervisor to fold into its own.
+    """
     if fault_plan is not None:
         from ..faults import FaultPlan, install_plan
 
@@ -365,6 +367,7 @@ def _worker(
         # supervisor's lane still shows the attempt.
         tracer = SpanTracer(f"campaign-worker pid={os.getpid()}")
         previous_tracer = install_tracer(tracer)
+    stats: Optional[StoreStats] = None
     try:
         result, wall = _execute_with_timeout(
             spec, timeout, submission, safepoint_every, safepoint_dir
@@ -374,7 +377,9 @@ def _worker(
 
             store = _store_for(store_root)
             key = spec.key()
+            before = replace(store.stats)
             store.put(key, result, wall, describe=_describe(spec, result))
+            stats = store.stats.since(before)
             # Chaos harness hook: damage the just-written blob, as a dying
             # disk or torn write would. The store's digest/decode checks
             # must catch it on the next read and quarantine rather than
@@ -392,7 +397,7 @@ def _worker(
                 tracer.write(_span_part_path(span_dir, spec, submission))
             except OSError:
                 pass  # tracing must never fail the run itself
-    return result, wall
+    return result, wall, stats
 
 
 def _describe(spec: RunSpec, result: Optional[RunResult] = None) -> Dict[str, object]:
@@ -696,9 +701,9 @@ class _Supervisor:
         from ..faults import runtime as faults_runtime
 
         if self.store is not None and self.store_root is not None:
-            # Reuse the caller's store handle so its hit/write accounting
-            # reflects the serial path exactly as before.
-            _WORKER_STORES.setdefault(self.store_root, self.store)
+            # Write through the caller's store handle, so its stats count
+            # the serial path's writes directly (nothing to fold).
+            _WORKER_STORES[self.store_root] = self.store
         ready: List[int] = list(pending)
         delayed: Dict[int, float] = {}
         try:
@@ -720,7 +725,7 @@ class _Supervisor:
                 self._mark_handoff(st)
                 started = time.monotonic()
                 try:
-                    result, wall = _worker(
+                    result, wall, _ = _worker(
                         self.specs[index],
                         self.store_root,
                         self.timeout,
@@ -846,7 +851,7 @@ class _Supervisor:
                     index, handed_off = futures.pop(future)
                     wall = time.monotonic() - handed_off
                     try:
-                        result, run_wall = future.result()
+                        result, run_wall, stats = future.result()
                     except BrokenProcessPool as error:
                         broken = True
                         self._after_failure(
@@ -859,6 +864,8 @@ class _Supervisor:
                         )
                     else:
                         consecutive_respawns = 0
+                        if stats is not None:
+                            self.store.stats.add(stats)
                         self.settle_ok(index, result, run_wall)
                 if broken:
                     # The pool is unusable; in-flight futures are lost too.

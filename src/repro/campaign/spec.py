@@ -18,7 +18,7 @@ from ..config import SystemConfig
 from ..core.integration import get_approach
 from ..errors import ExperimentError
 from ..workloads import resolve_mix
-from .store import run_key, runner_fingerprint
+from .store import run_key
 
 #: The F2/F3 headline grid's approaches — the campaign CLI default.
 DEFAULT_APPROACHES: Tuple[str, ...] = ("shared-frfcfs", "ebp", "dbp")
@@ -79,17 +79,6 @@ class RunSpec:
             ahead_limit=self.ahead_limit,
             validate=self.validate,
             trace_digests=dict(self.trace_digests),
-        )
-
-    def runner_key(self) -> str:
-        """Fingerprint of the Runner this spec needs (apps/approach aside)."""
-        return runner_fingerprint(
-            self.config,
-            seed=self.seed,
-            horizon=self.horizon,
-            target_insts=self.target_insts,
-            ahead_limit=self.ahead_limit,
-            validate=self.validate,
         )
 
 

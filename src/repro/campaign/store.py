@@ -128,8 +128,9 @@ def runner_fingerprint(
 ) -> str:
     """Hash of everything a Runner needs besides (apps, approach).
 
-    Campaign workers key their process-local Runner cache on this, so runs
-    sharing a configuration reuse traces and alone-run baselines.
+    ``Runner.alone_ipc`` keys its process-wide memo on this fingerprint of
+    the alone-run config (:func:`repro.sim.runner.alone_config`), so every
+    Runner whose alone runs simulate the same thing shares one baseline.
     """
     doc = {
         "store_version": STORE_VERSION,
@@ -258,7 +259,11 @@ def decode_run_result(doc: Dict[str, object]) -> RunResult:
 # ---------------------------------------------------------------------------
 @dataclass
 class StoreStats:
-    """Accounting for one store handle (process-local)."""
+    """Accounting for one store handle (process-local).
+
+    A campaign supervisor's handle also carries its pool workers' counts,
+    folded in with :meth:`add` as their attempts settle.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -272,6 +277,21 @@ class StoreStats:
     index_errors: int = 0
     #: Simulated-run wall-clock seconds that hits avoided re-paying.
     wall_saved: float = 0.0
+
+    def since(self, earlier: "StoreStats") -> "StoreStats":
+        """What this handle counted after ``earlier``, a copy of its stats."""
+        return StoreStats(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in dataclasses.fields(self)
+            }
+        )
+
+    def add(self, other: "StoreStats") -> None:
+        """Fold another handle's counts (e.g. a pool worker's) into these."""
+        for f in dataclasses.fields(self):
+            total = getattr(self, f.name) + getattr(other, f.name)
+            setattr(self, f.name, total)
 
     def as_dict(self) -> Dict[str, float]:
         return {

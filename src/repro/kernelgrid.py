@@ -3,10 +3,10 @@
 One place defines the (approach x scheduler x page-policy x validate) grid
 that both the golden-fixture generator (``scripts/gen_kernel_golden.py``)
 and the differential test (``tests/test_kernel_equivalence.py``) run. A
-grid run is a bare :class:`~repro.sim.system.System` — no Runner, no
-caches — so the captured document is exactly what one simulation produces:
-per-thread results, command/refresh totals, engine event counts, and the
-full metrics-registry snapshot.
+grid run is a bare :class:`~repro.sim.system.System` — no Runner; traces
+come from the process-wide memo — so the captured document is exactly
+what one simulation produces: per-thread results, command/refresh totals,
+engine event counts, and the full metrics-registry snapshot.
 
 Every approach in the registry exercises its scheduler through the
 controller hot loop; the closed-page rows exercise the stale-row precharge
@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import SystemConfig
 from .core.integration import get_approach
+from .sim.runner import shared_trace
 from .sim.system import System
 from .traces.source import DefaultTraceSource
 from .workloads import resolve_mix
@@ -55,20 +56,10 @@ GRID: List[GridSpec] = [
     ("shared-frfcfs/closed+validate", "shared-frfcfs", "closed", True),
 ]
 
-_trace_cache: Dict[tuple, object] = {}
-
 
 def _traces(apps, seed: int, target_insts: int):
     source = DefaultTraceSource()
-    out = []
-    for app in apps:
-        key = (app, seed, target_insts)
-        trace = _trace_cache.get(key)
-        if trace is None:
-            trace = source.trace_for(app, seed, target_insts)
-            _trace_cache[key] = trace
-        out.append(trace)
-    return out
+    return [shared_trace(source, app, seed, target_insts) for app in apps]
 
 
 def build_grid_system(

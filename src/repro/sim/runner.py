@@ -2,12 +2,21 @@
 
 The runner owns the methodology boilerplate every experiment shares:
 
-* traces are generated once per (app, seed) and reused;
+* traces are generated once per process for each content key
+  (:meth:`~repro.traces.source.TraceSource.cache_key`) and reused by every
+  Runner — see :func:`shared_trace`;
 * each application's *alone* IPC — the denominator of every speedup — is
-  measured once per configuration on the unpartitioned FR-FCFS system with
-  a single core, then cached;
+  measured on :func:`alone_config` (one core, unpartitioned FR-FCFS) once
+  per process for each content key of that run, also shared by every
+  Runner;
 * a mix run builds a fresh :class:`~repro.sim.system.System` for the chosen
   approach and converts the resulting IPCs into the paper's metrics.
+
+Both memos are keyed by what the memoized value depends on, never by which
+Runner asked for it, so Runners that differ only in what a trace or an
+alone run ignores (the approach, the core count, the migration knobs) share
+one copy. They are unbounded: a process holds each distinct trace once.
+:func:`clear_memos` empties them.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
-from ..config import SystemConfig
+from ..config import OSConfig, SystemConfig
 from ..core.integration import Approach, get_approach
 from ..cpu.trace import Trace
 from ..errors import ExperimentError
@@ -31,6 +40,66 @@ from .system import System, SystemResult
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..campaign.store import ResultStore
+
+
+#: Process-wide trace memo: TraceSource.cache_key -> Trace.
+_TRACES: Dict[tuple, Trace] = {}
+#: Process-wide alone-IPC memo: (alone-run fingerprint, source key) -> IPC.
+_ALONE_IPCS: Dict[tuple, float] = {}
+
+
+def clear_memos() -> None:
+    """Forget every memoized trace and alone baseline in this process."""
+    _TRACES.clear()
+    _ALONE_IPCS.clear()
+
+
+def shared_trace(
+    source: TraceSource, app: str, seed: int, target_insts: int
+) -> Trace:
+    """The trace ``source`` yields for ``app``, generated once per process.
+
+    Keyed by ``source.cache_key``: (app, seed, target_insts) for synthetic
+    traces, (app, content digest) for library traces. A miss is recorded
+    as a ``trace-gen`` span when a tracer is installed.
+    """
+    key = source.cache_key(app, seed, target_insts)
+    trace = _TRACES.get(key)
+    if trace is None:
+        tracer = current_tracer()
+        started = now_us() if tracer is not None else 0
+        trace = source.trace_for(app, seed, target_insts)
+        _TRACES[key] = trace
+        if tracer is not None:
+            tracer.complete(
+                "trace-gen",
+                started,
+                now_us() - started,
+                app=app,
+                seed=seed,
+                target_insts=target_insts,
+            )
+    return trace
+
+
+def alone_config(config: SystemConfig) -> SystemConfig:
+    """The configuration an alone baseline of ``config`` simulates.
+
+    One core, FR-FCFS without scheduler parameters, and the migration
+    knobs (mode, budget, lines per page) at their defaults. An alone run
+    uses the shared policy, which has no epochs and never migrates, so
+    those knobs cannot change its IPC; resetting them lets every migration
+    setting share one baseline and makes the memo key describe exactly
+    what was simulated.
+    """
+    defaults = OSConfig()
+    osmm = replace(
+        config.osmm,
+        migration_mode=defaults.migration_mode,
+        migration_budget_pages=defaults.migration_budget_pages,
+        migration_lines_per_page=defaults.migration_lines_per_page,
+    )
+    return replace(config, num_cores=1, osmm=osmm).with_scheduler("frfcfs")
 
 
 @dataclass(frozen=True)
@@ -149,32 +218,18 @@ class Runner:
         self.trace_source: TraceSource = (
             trace_source if trace_source is not None else DefaultTraceSource()
         )
-        self._trace_cache: Dict[tuple, Trace] = {}
-        self._alone_cache: Dict[tuple, float] = {}
         self._run_cache: Dict[tuple, RunResult] = {}
 
     # ------------------------------------------------------------------
-    def _source_key(self, app: str) -> tuple:
-        """The trace source's identity key for ``app`` under this scope.
-
-        For synthetic apps this is (app, seed, target_insts) — the full
-        generator input — so mutating the Runner's fields can never serve
-        a stale trace; for library traces it is (app, content digest).
-        """
-        return self.trace_source.cache_key(
-            app, self.seed, self.target_insts
-        )
-
     def trace_for(self, app: str) -> Trace:
-        """The (cached) trace for one application — synthetic or library."""
-        key = self._source_key(app)
-        trace = self._trace_cache.get(key)
-        if trace is None:
-            trace = self.trace_source.trace_for(
-                app, self.seed, self.target_insts
-            )
-            self._trace_cache[key] = trace
-        return trace
+        """The trace for one application — synthetic or library.
+
+        Memoized process-wide by :func:`shared_trace`, so mutating the
+        Runner's seed or target_insts can never serve a stale trace.
+        """
+        return shared_trace(
+            self.trace_source, app, self.seed, self.target_insts
+        )
 
     def library_digests(self, apps: Sequence[str]) -> Dict[str, str]:
         """{app: digest} for the library-resolved apps among ``apps``.
@@ -190,14 +245,30 @@ class Runner:
         return digests
 
     def alone_ipc(self, app: str) -> float:
-        """IPC of ``app`` running alone on the full machine (cached)."""
-        key = self._source_key(app)
-        ipc = self._alone_cache.get(key)
+        """IPC of ``app`` running alone on :func:`alone_config`.
+
+        Memoized process-wide by the fingerprint of the alone run (its
+        config, seed, horizon, target_insts, ahead_limit and validate flag;
+        not the kernel, as for run keys) plus the trace's source key.
+        """
+        from ..campaign.store import runner_fingerprint
+
+        config = alone_config(self.config)
+        key = (
+            runner_fingerprint(
+                config,
+                seed=self.seed,
+                horizon=self.horizon,
+                target_insts=self.target_insts,
+                ahead_limit=self.ahead_limit,
+                validate=self.validate,
+            ),
+            self.trace_source.cache_key(app, self.seed, self.target_insts),
+        )
+        ipc = _ALONE_IPCS.get(key)
         if ipc is None:
             tracer = current_tracer()
             started = now_us() if tracer is not None else 0
-            config = replace(self.config, num_cores=1)
-            config = config.with_scheduler("frfcfs")
             system = System(
                 config,
                 [self.trace_for(app)],
@@ -214,7 +285,7 @@ class Runner:
             ipc = result.threads[0].ipc
             if ipc <= 0:
                 raise ExperimentError(f"alone run of {app!r} retired nothing")
-            self._alone_cache[key] = ipc
+            _ALONE_IPCS[key] = ipc
         return ipc
 
     # ------------------------------------------------------------------

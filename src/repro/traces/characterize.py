@@ -5,7 +5,8 @@ properties off the record stream; this module measures what the *machine*
 observes — post-cache MPKI, row-buffer hit rate, bank-level parallelism,
 alone IPC — by replaying the trace on a single-core unpartitioned FR-FCFS
 system, exactly the configuration ``Runner.alone_ipc`` uses for every
-speedup denominator. The intensive/light classification reuses the
+speedup denominator (:func:`~repro.sim.runner.alone_config`). The
+intensive/light classification reuses the
 :data:`~repro.workloads.analysis.INTENSIVE_MPKI_THRESHOLD` convention the
 partitioning policies key on, so an imported real trace slots into DBP's
 thread classes on the same terms as the synthetic apps.
@@ -13,7 +14,7 @@ thread classes on the same terms as the synthetic apps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from ..cpu.trace import Trace
@@ -83,18 +84,19 @@ def characterize_trace(
 ) -> TraceCharacterization:
     """Measure one trace alone on the single-core FR-FCFS baseline system.
 
-    Mirrors ``Runner.alone_ipc``'s configuration (one core, unpartitioned,
-    FR-FCFS) so the numbers are commensurable with every alone-run
-    baseline in the repo. Neither the shared policy nor FR-FCFS has an
-    epoch cadence, so one post-run profiler snapshot covers the whole run.
+    Runs :func:`~repro.sim.runner.alone_config` — the configuration
+    ``Runner.alone_ipc`` simulates (one core, unpartitioned, FR-FCFS) — so
+    the numbers are commensurable with every alone-run baseline in the
+    repo. Neither the shared policy nor FR-FCFS has an epoch cadence, so
+    one post-run profiler snapshot covers the whole run.
     """
     from ..config import SystemConfig
+    from ..sim.runner import alone_config
     from ..sim.system import System
 
     if horizon <= 0:
         raise ExperimentError("characterization horizon must be positive")
-    base = config if config is not None else SystemConfig()
-    alone = replace(base, num_cores=1).with_scheduler("frfcfs")
+    alone = alone_config(config if config is not None else SystemConfig())
     system = System(
         alone, [trace], horizon=horizon, ahead_limit=ahead_limit
     )

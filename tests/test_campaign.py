@@ -18,9 +18,8 @@ from repro.campaign import (
     run_key,
     sweep_metrics,
 )
-from repro.campaign.executor import _WORKER_RUNNERS
 from repro.errors import ExperimentError
-from repro.sim.runner import Runner
+from repro.sim.runner import Runner, clear_memos
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,10 +42,10 @@ def specs(small_config):
 
 @pytest.fixture(autouse=True)
 def _fresh_worker_caches():
-    """Keep the process-local runner cache from leaking between tests."""
-    _WORKER_RUNNERS.clear()
+    """Keep the process-wide trace/alone memos from leaking between tests."""
+    clear_memos()
     yield
-    _WORKER_RUNNERS.clear()
+    clear_memos()
 
 
 class TestPlanner:
@@ -248,7 +247,7 @@ class TestExecutor:
         # (running serial first would leak warm in-process caches into the
         # forked workers and make the comparison vacuous).
         pooled = execute(specs, jobs=2)
-        _WORKER_RUNNERS.clear()
+        clear_memos()
         serial = execute(specs, jobs=1)
         assert [o.status for o in pooled.outcomes] == ["ok", "ok"]
         assert [o.status for o in serial.outcomes] == ["ok", "ok"]
@@ -269,6 +268,20 @@ class TestExecutor:
         # Metrics survive the JSON round trip exactly (floats untouched).
         for a, b in zip(first.outcomes, second.outcomes):
             assert a.result.metrics.summary == b.result.metrics.summary
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_stats_count_every_write(self, tmp_path, specs, jobs):
+        """Pool workers write through their own store handles; their
+        writes must still reach the supervisor's stats and report."""
+        from repro.campaign import render_report
+
+        store = ResultStore(tmp_path / "store")
+        result = execute(specs, jobs=jobs, store=store)
+        assert len(result.executed) == 2
+        assert store.stats.writes == len(result.executed)
+        assert store.stats.misses == 2 and store.stats.hits == 0
+        assert len(list(store.iter_blobs())) == 2
+        assert "2 writes" in render_report(result, store)
 
     def test_partial_store_resumes_only_missing_runs(self, tmp_path, specs):
         store = ResultStore(tmp_path / "store")

@@ -24,11 +24,7 @@ from repro.campaign import (
     classify_failure,
     execute,
 )
-from repro.campaign.executor import (
-    _WORKER_RUNNERS,
-    _WORKER_STORES,
-    RunTimeoutError,
-)
+from repro.campaign.executor import _WORKER_STORES, RunTimeoutError
 from repro.errors import SimulationError, TraceError
 from repro.faults import (
     FaultPlan,
@@ -42,18 +38,20 @@ from repro.faults import (
     truncate_file,
 )
 from repro.faults import reset as faults_reset
+from repro.sim.runner import clear_memos
 from repro.traces.format import load_rtrc, save_rtrc
 from repro.traces.source import DefaultTraceSource
 
 
 @pytest.fixture(autouse=True)
 def _clean_process_state():
-    """No runner caches, store handles, or fault plans leak across tests."""
-    _WORKER_RUNNERS.clear()
+    """No trace/alone memos, store handles, or fault plans leak across
+    tests."""
+    clear_memos()
     _WORKER_STORES.clear()
     faults_reset()
     yield
-    _WORKER_RUNNERS.clear()
+    clear_memos()
     _WORKER_STORES.clear()
     faults_reset()
 

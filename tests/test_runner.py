@@ -1,9 +1,15 @@
 """Experiment runner tests."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import OSConfig
 from repro.core.dbp import DBPConfig, DynamicBankPartitioning
 from repro.errors import ExperimentError
+from repro.sim.runner import Runner, alone_config, clear_memos
+from repro.sim.system import System
+from repro.telemetry.spans import SpanTracer, install_tracer, uninstall_tracer
 from repro.workloads import Mix
 
 
@@ -34,16 +40,104 @@ class TestTraceCache:
         assert c is not a
 
 
+def _span_names(run):
+    """The complete-span names ``run()`` emits under a fresh tracer."""
+    tracer = SpanTracer("test")
+    install_tracer(tracer)
+    try:
+        run()
+    finally:
+        uninstall_tracer()
+    return [e["name"] for e in tracer.events() if e.get("ph") == "X"]
+
+
 class TestAloneRuns:
     def test_alone_ipc_positive_and_cached(self, fast_runner):
         first = fast_runner.alone_ipc("lbm")
         assert first > 0
-        assert fast_runner.alone_ipc("lbm") == first
+        again = []
+        names = _span_names(lambda: again.append(fast_runner.alone_ipc("lbm")))
+        assert again == [first]
+        assert "alone-run" not in names  # served without simulating
+
+    def test_alone_baseline_not_stale_after_horizon_change(self):
+        """A baseline measured at one horizon is never served at another."""
+        expected = Runner(horizon=60_000, target_insts=200_000).alone_ipc(
+            "lbm"
+        )
+        runner = Runner(horizon=30_000, target_insts=200_000)
+        short = runner.alone_ipc("lbm")
+        runner.horizon = 60_000
+        assert runner.alone_ipc("lbm") == expected
+        assert expected != short
+
+    def test_runners_share_traces_and_alone_runs(self, small_config):
+        """Runners differing only in migration knobs and horizon share one
+        trace generation, and one alone run per (app, horizon), with the
+        IPC of an unshared alone run on the un-normalized config."""
+        knobs = [
+            small_config.osmm,
+            replace(
+                small_config.osmm,
+                migration_mode="budget",
+                migration_budget_pages=1,
+                migration_lines_per_page=1,
+            ),
+        ]
+        horizons = (20_000, 30_000)
+        clear_memos()
+        trace = Runner(config=small_config, target_insts=200_000).trace_for(
+            "lbm"
+        )
+        unshared = {}
+        for horizon in horizons:
+            for osmm in knobs:
+                config = replace(small_config, num_cores=1, osmm=osmm)
+                system = System(
+                    config.with_scheduler("frfcfs"), [trace], horizon=horizon
+                )
+                unshared[horizon, osmm] = system.run().threads[0].ipc
+        clear_memos()
+        shared = {}
+
+        def run_all():
+            for horizon in horizons:
+                for osmm in knobs:
+                    runner = Runner(
+                        config=replace(small_config, osmm=osmm),
+                        horizon=horizon,
+                        target_insts=200_000,
+                    )
+                    shared[horizon, osmm] = runner.alone_ipc("lbm")
+
+        names = _span_names(run_all)
+        assert shared == unshared
+        assert names.count("trace-gen") == 1
+        assert names.count("alone-run") == len(horizons)
+
+    def test_alone_config_is_one_core_frfcfs_default_migration(
+        self, small_config
+    ):
+        config = alone_config(
+            replace(
+                small_config.with_scheduler("tcm", cluster_fraction=0.3),
+                osmm=replace(small_config.osmm, migration_mode="budget"),
+            )
+        )
+        defaults = OSConfig()
+        assert config.num_cores == 1
+        assert config.controller.scheduler == "frfcfs"
+        assert config.controller.scheduler_params == {}
+        assert config.osmm.migration_mode == defaults.migration_mode
         assert (
-            "lbm",
-            fast_runner.seed,
-            fast_runner.target_insts,
-        ) in fast_runner._alone_cache
+            config.osmm.migration_budget_pages
+            == defaults.migration_budget_pages
+        )
+        assert (
+            config.osmm.migration_lines_per_page
+            == defaults.migration_lines_per_page
+        )
+        assert config.organization == small_config.organization
 
     def test_light_app_faster_alone(self, fast_runner):
         assert fast_runner.alone_ipc("gcc") > fast_runner.alone_ipc("lbm")
@@ -147,7 +241,5 @@ class TestRunCustom:
 
 class TestValidation:
     def test_bad_horizon_rejected(self, small_config):
-        from repro.sim.runner import Runner
-
         with pytest.raises(ExperimentError):
             Runner(config=small_config, horizon=0)

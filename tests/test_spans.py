@@ -14,9 +14,10 @@ import json
 import pytest
 
 from repro.campaign import ResultStore, RunSpec, execute
-from repro.campaign.executor import _WORKER_RUNNERS, _WORKER_STORES
+from repro.campaign.executor import _WORKER_STORES
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults import reset as faults_reset
+from repro.sim.runner import Runner, clear_memos
 from repro.telemetry.spans import (
     SpanTracer,
     current_tracer,
@@ -32,14 +33,14 @@ from repro.telemetry.spans import (
 
 @pytest.fixture(autouse=True)
 def _clean_process_state():
-    """No tracer, runner cache, or fault plan leaks across tests."""
+    """No tracer, trace/alone memo, or fault plan leaks across tests."""
     uninstall_tracer()
-    _WORKER_RUNNERS.clear()
+    clear_memos()
     _WORKER_STORES.clear()
     faults_reset()
     yield
     uninstall_tracer()
-    _WORKER_RUNNERS.clear()
+    clear_memos()
     _WORKER_STORES.clear()
     faults_reset()
 
@@ -182,8 +183,6 @@ class TestRunnerSpans:
         assert measure["args"]["approach"] == "dbp-tcm"
 
     def test_store_hit_emits_cached_instant(self, small_config, tmp_path):
-        from repro.sim.runner import Runner
-
         store = ResultStore(tmp_path / "store")
         runner = Runner(
             config=small_config,
@@ -207,6 +206,30 @@ class TestRunnerSpans:
             for e in tracer.events()
             if e.get("ph") == "i"
         )
+
+    def test_trace_gen_only_on_memo_miss(self, small_config):
+        def traced_run():
+            runner = Runner(
+                config=small_config, horizon=30_000, target_insts=200_000
+            )
+            tracer = SpanTracer("trace-gen")
+            install_tracer(tracer)
+            try:
+                runner.run_apps(["lbm", "gcc"], "shared-frfcfs")
+            finally:
+                uninstall_tracer()
+            return tracer.to_chrome()
+
+        cold = traced_run()
+        measure = _x_events(cold, "measure")[0]
+        gens = _x_events(cold, "trace-gen")
+        assert sorted(g["args"]["app"] for g in gens) == ["gcc", "lbm"]
+        for gen in gens:
+            assert _contains(measure, gen)
+            assert gen["args"]["seed"] == 1
+            assert gen["args"]["target_insts"] == 200_000
+        # Same inputs, new Runner: every trace comes from the memo.
+        assert _x_events(traced_run(), "trace-gen") == []
 
     def test_no_tracer_costs_nothing_and_records_nothing(self, fast_runner):
         assert current_tracer() is None
